@@ -1,6 +1,6 @@
 //! Ablation studies beyond the paper's headline tables.
 //!
-//! DESIGN.md calls out three design choices worth quantifying separately:
+//! Three design choices are worth quantifying separately:
 //!
 //! 1. **Which estimator feeds the gate** (Section 3.1 of the paper fixes the
 //!    RMI and explicitly leaves "which estimator is best" to future work) —

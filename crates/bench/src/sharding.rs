@@ -14,18 +14,25 @@
 //! (pins = hits + misses = unpins, resident bytes within budget, evictions
 //! matching reloads).
 //!
+//! Alongside, three runtime costs are recorded but never gated (CI hosts
+//! are shared, so their timings are too noisy to fail a build on): the
+//! per-call overhead of the parallel runtime, estimator training split into
+//! building the training set and fitting the network, and each arm's
+//! `range_batch` time next to its scalar query sweeps.
+//!
 //! Results are printed as a table and written to
 //! `<results_dir>/BENCH_sharding.json`. The `exp_sharding` binary exits
 //! non-zero on any divergence or accounting inconsistency.
 
 use crate::harness::HarnessConfig;
 use crate::report::{print_table, write_json};
-use laf_cardest::TrainingSetBuilder;
+use laf_cardest::{MlpEstimator, TrainingSetBuilder};
 use laf_core::{LafConfig, LafPipeline};
 use laf_index::{EngineChoice, Neighbor};
 use laf_serve::{CacheConfig, CacheError, CacheStatsReport, SnapshotCache, TenantServer};
 use laf_synth::EmbeddingMixtureConfig;
 use laf_vector::Dataset;
+use rayon::prelude::*;
 use serde::Serialize;
 use std::path::PathBuf;
 use std::time::Instant;
@@ -55,10 +62,12 @@ pub struct ShardingRecord {
     pub range_count_ms: f64,
     /// The knn sweep (k = 5), milliseconds.
     pub knn_ms: f64,
+    /// One `range_batch` call over the whole query set, milliseconds.
+    pub range_batch_ms: f64,
     /// Full LAF-DBSCAN run over the restored pipeline, milliseconds.
     pub cluster_ms: f64,
-    /// Results (range, count, knn order, labels, stats) differing from the
-    /// unsharded reference — must be 0.
+    /// Results (range, count, knn order, range_batch, labels) differing from
+    /// the unsharded reference — must be 0.
     pub divergences: u64,
 }
 
@@ -76,6 +85,13 @@ pub struct ShardingReport {
     pub n_queries: usize,
     /// The shard counts the records cover.
     pub shard_counts: Vec<usize>,
+    /// Median wall time of a 2-item parallel collect, microseconds: the
+    /// fixed cost every shard fan-out pays.
+    pub pool_call_us: f64,
+    /// Building the estimator's training set (exact counts), milliseconds.
+    pub train_build_ms: f64,
+    /// Fitting the estimator network on it, milliseconds.
+    pub train_fit_ms: f64,
     /// One record per shard count.
     pub records: Vec<ShardingRecord>,
     /// `true` when every sharded result matched the unsharded reference.
@@ -104,7 +120,9 @@ pub fn cache_accounting_consistent(report: &CacheStatsReport) -> bool {
 }
 
 fn sharding_dataset(cfg: &HarnessConfig) -> Dataset {
-    let n_points = ((40_000.0 * cfg.scale) as usize).clamp(240, 4_000);
+    // 4000 points at the default scale: enough per-shard scan work that the
+    // sweep measures the fan-out rather than its fixed cost.
+    let n_points = ((500_000.0 * cfg.scale) as usize).clamp(240, 8_000);
     let dim = cfg.dim_cap.unwrap_or(24).clamp(6, 24);
     EmbeddingMixtureConfig {
         n_points,
@@ -139,6 +157,22 @@ pub fn run(cfg: &HarnessConfig) -> ShardingReport {
     let dir = std::env::temp_dir().join(format!("laf_bench_sharding_{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("bench temp dir");
 
+    let pool_call_us = pool_call_us();
+    let training = TrainingSetBuilder {
+        max_queries: Some(cfg.train_queries.min(120)),
+        ..Default::default()
+    };
+    let started = Instant::now();
+    let training_set = training.build(&data, &data).expect("training set");
+    let train_build_ms = started.elapsed().as_secs_f64() * 1e3;
+    let started = Instant::now();
+    MlpEstimator::train(&training_set, &cfg.net);
+    let train_fit_ms = started.elapsed().as_secs_f64() * 1e3;
+    println!(
+        "parallel call {pool_call_us:.1}us; training: build {train_build_ms:.1}ms, \
+         fit {train_fit_ms:.1}ms (recorded, not gated)"
+    );
+
     // One snapshot file per shard count. The training inputs are identical,
     // so the estimators — and therefore the labels — may only differ if the
     // sharded scatter-gather itself diverges.
@@ -152,10 +186,7 @@ pub fn run(cfg: &HarnessConfig) -> ShardingReport {
             let path = dir.join(format!("shards{n}.lafs"));
             LafPipeline::builder(config.clone())
                 .net(cfg.net.clone())
-                .training(TrainingSetBuilder {
-                    max_queries: Some(cfg.train_queries.min(120)),
-                    ..Default::default()
-                })
+                .training(training.clone())
                 .shards(n)
                 .train_and_save(data.clone(), &path)
                 .expect("train sharded pipeline");
@@ -189,6 +220,10 @@ pub fn run(cfg: &HarnessConfig) -> ShardingReport {
         let started = Instant::now();
         let knn: Vec<Vec<Neighbor>> = queries.iter().map(|q| engine.get().knn(q, 5)).collect();
         let knn_ms = started.elapsed().as_secs_f64() * 1e3;
+        let rows: Vec<&[f32]> = queries.iter().map(Vec::as_slice).collect();
+        let started = Instant::now();
+        let batch = engine.get().range_batch(&rows, eps);
+        let range_batch_ms = started.elapsed().as_secs_f64() * 1e3;
         let started = Instant::now();
         let (clustering, _) = pipeline.cluster_with_stats();
         let cluster_ms = started.elapsed().as_secs_f64() * 1e3;
@@ -196,16 +231,17 @@ pub fn run(cfg: &HarnessConfig) -> ShardingReport {
 
         let divergences = match &reference {
             None => {
+                let diverged = (batch != range) as u64;
                 reference = Some(Reference {
                     range,
                     count,
                     knn,
                     labels,
                 });
-                0
+                diverged
             }
             Some(want) => {
-                let mut diverged = 0u64;
+                let mut diverged = (batch != want.range) as u64;
                 diverged += (0..queries.len())
                     .filter(|&i| range[i] != want.range[i] || count[i] != want.count[i])
                     .count() as u64;
@@ -225,6 +261,7 @@ pub fn run(cfg: &HarnessConfig) -> ShardingReport {
             range_ms,
             range_count_ms,
             knn_ms,
+            range_batch_ms,
             cluster_ms,
             divergences,
         });
@@ -284,6 +321,7 @@ pub fn run(cfg: &HarnessConfig) -> ShardingReport {
                 format!("{:.2}", r.range_ms),
                 format!("{:.2}", r.range_count_ms),
                 format!("{:.2}", r.knn_ms),
+                format!("{:.2}", r.range_batch_ms),
                 format!("{:.2}", r.cluster_ms),
                 if r.divergences == 0 { "ok" } else { "DIVERGED" }.to_string(),
             ]
@@ -298,6 +336,7 @@ pub fn run(cfg: &HarnessConfig) -> ShardingReport {
             "range ms",
             "count ms",
             "knn ms",
+            "batch ms",
             "cluster ms",
             "results",
         ],
@@ -325,6 +364,9 @@ pub fn run(cfg: &HarnessConfig) -> ShardingReport {
         eps,
         n_queries: queries.len(),
         shard_counts: SHARD_SWEEP.to_vec(),
+        pool_call_us,
+        train_build_ms,
+        train_fit_ms,
         records,
         results_identical,
         cache_tenants: SHARD_SWEEP.len(),
@@ -339,6 +381,23 @@ pub fn run(cfg: &HarnessConfig) -> ShardingReport {
     report
 }
 
+/// Median wall time of a 2-item parallel collect, in microseconds.
+fn pool_call_us() -> f64 {
+    let mut samples: Vec<f64> = (0..1_000)
+        .map(|i| {
+            let started = Instant::now();
+            let out: Vec<usize> = (0..2usize)
+                .into_par_iter()
+                .map(|x| std::hint::black_box(x + i))
+                .collect();
+            std::hint::black_box(out);
+            started.elapsed().as_secs_f64() * 1e6
+        })
+        .collect();
+    samples.sort_by(f64::total_cmp);
+    samples[samples.len() / 2]
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -347,7 +406,8 @@ mod tests {
     #[test]
     fn sweep_is_bit_identical_and_cache_accounting_balances() {
         let cfg = HarnessConfig {
-            scale: 0.0025,
+            // 240 points (the size floor): a smoke run of the full sweep.
+            scale: 0.0004,
             dim_cap: Some(16),
             train_queries: 40,
             net: NetConfig::tiny(),
@@ -367,6 +427,7 @@ mod tests {
         );
         assert!(report.cache.misses > report.cache.resident_entries as u64);
         assert!(report.records.iter().all(|r| r.load_ms > 0.0));
+        assert_eq!(report.n_points, 240);
         assert!(cfg.results_dir.join("BENCH_sharding.json").exists());
     }
 }

@@ -8,14 +8,16 @@
 //! plain safe Rust with no external ML framework.
 //!
 //! [`NetConfig::paper`] exposes the paper's widths; [`NetConfig::small`] is
-//! the CPU-friendly default used by the reproduction's experiments (the
-//! substitution is documented in DESIGN.md §4).
+//! the CPU-friendly default used by the reproduction's experiments: two
+//! hidden layers (64, 32) and 60 epochs instead of the paper's GPU-sized
+//! network, so an estimator trains in seconds on a laptop CPU.
 
 use bytes::{Buf, BufMut};
 use laf_vector::VectorError;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rand_distr::{Distribution, Normal};
+use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 /// Read-guard: error (instead of panicking) when fewer than `needed` bytes
@@ -383,39 +385,21 @@ impl Mlp {
         Ok(Self { input_dim, layers })
     }
 
-    /// Forward pass keeping every layer's post-activation output (used by
-    /// backprop). `activations[0]` is the input, `activations[i]` the output
-    /// of layer `i-1`.
-    fn forward_cached(&self, x: &[f32]) -> Vec<Vec<f32>> {
-        let mut activations = Vec::with_capacity(self.layers.len() + 1);
-        activations.push(x.to_vec());
-        let last = self.layers.len() - 1;
-        for (l, layer) in self.layers.iter().enumerate() {
-            let mut out = Vec::new();
-            layer.forward(activations.last().expect("non-empty"), &mut out);
-            if l != last {
-                for v in out.iter_mut() {
-                    if *v < 0.0 {
-                        *v = 0.0;
-                    }
-                }
-            }
-            activations.push(out);
-        }
-        activations
-    }
-
     /// Mean squared error over a set of samples.
     pub fn mse(&self, inputs: &[Vec<f32>], targets: &[f32]) -> f32 {
         assert_eq!(inputs.len(), targets.len());
         if inputs.is_empty() {
             return 0.0;
         }
-        let sum: f32 = inputs
-            .iter()
+        // `predict_batch` is bit-exact with `predict`, and the squared
+        // errors are still summed in sample order.
+        let rows: Vec<&[f32]> = inputs.iter().map(Vec::as_slice).collect();
+        let sum: f32 = self
+            .predict_batch(&rows)
+            .into_iter()
             .zip(targets)
-            .map(|(x, &y)| {
-                let e = self.predict(x) - y;
+            .map(|(p, &y)| {
+                let e = p - y;
                 e * e
             })
             .sum();
@@ -452,6 +436,7 @@ impl Mlp {
 
         let mut order: Vec<usize> = (0..n).collect();
         let mut grads = vec![0.0f32; total_params];
+        let mut workspace = Workspace::new(self, batch);
 
         for _ in 0..cfg.epochs {
             // Shuffle sample order each epoch.
@@ -460,10 +445,7 @@ impl Mlp {
                 order.swap(i, j);
             }
             for chunk in order.chunks(batch) {
-                grads.iter_mut().for_each(|g| *g = 0.0);
-                for &idx in chunk {
-                    self.accumulate_gradients(&inputs[idx], targets[idx], chunk.len(), &mut grads);
-                }
+                self.minibatch_gradients(chunk, inputs, targets, &mut workspace, &mut grads);
                 // Adam update.
                 step += 1;
                 let bias1 = 1.0 - beta1.powi(step.min(i32::MAX as u64) as i32);
@@ -503,63 +485,282 @@ impl Mlp {
         }
     }
 
-    /// Backpropagate one sample's MSE gradient into `grads` (layout matches
-    /// the Adam update in [`Mlp::train`]): `d(pred-y)^2 / dθ / batch_len`.
-    fn accumulate_gradients(&self, x: &[f32], y: f32, batch_len: usize, grads: &mut [f32]) {
-        let acts = self.forward_cached(x);
-        let pred = acts.last().expect("output layer exists")[0];
-        let scale = 2.0 * (pred - y) / batch_len as f32;
+    /// Overwrite `grads` (layout matches the Adam update in [`Mlp::train`])
+    /// with the minibatch's MSE gradient: the sum over `batch` of
+    /// `d(pred-y)^2 / dθ / batch.len()`.
+    ///
+    /// Bit-identical to backpropagating one sample at a time and adding each
+    /// sample's gradient in turn, at any thread count: the forward and delta
+    /// passes are independent per sample, and each parameter's gradient is
+    /// summed over the samples in batch order by the one task that owns its
+    /// weight row. Besides the parallel runtime's bookkeeping, the only
+    /// allocations are two per-layer tables of row slices, one entry per
+    /// sample, which keep the gradient sweep free of index arithmetic.
+    fn minibatch_gradients(
+        &self,
+        batch: &[usize],
+        inputs: &[Vec<f32>],
+        targets: &[f32],
+        ws: &mut Workspace,
+        grads: &mut [f32],
+    ) {
+        for (layer, wt) in self.layers.iter().zip(&mut ws.transposed) {
+            for (o, row) in layer.w.chunks_exact(layer.in_dim).enumerate() {
+                for (i, &w) in row.iter().enumerate() {
+                    wt[i * layer.out_dim + o] = w;
+                }
+            }
+        }
+        let (layout, transposed) = (&ws.layout, &ws.transposed);
+        let rec = layout.record_len();
+        let records = &mut ws.records[..batch.len() * rec];
+        records
+            .par_chunks_mut(rec)
+            .enumerate()
+            .for_each(|(b, record)| {
+                let idx = batch[b];
+                let y = targets[idx];
+                self.forward_backward(layout, transposed, &inputs[idx], y, batch.len(), record);
+            });
 
-        // delta for the current layer's outputs, starting at the output unit.
-        let mut delta = vec![scale];
+        let records = &*records;
+        grads.fill(0.0);
+        let mut offset = 0;
+        for (l, layer) in self.layers.iter().enumerate() {
+            let (w_grads, rest) = grads[offset..].split_at_mut(layer.w.len());
+            let xs: Vec<&[f32]> = (0..batch.len())
+                .map(|b| match l {
+                    0 => &inputs[batch[b]][..],
+                    _ => layout.act(&records[b * rec..], l - 1),
+                })
+                .collect();
+            let ds: Vec<&[f32]> = (0..batch.len())
+                .map(|b| layout.delta(&records[b * rec..], l))
+                .collect();
+            w_grads
+                .par_chunks_mut(layer.in_dim)
+                .enumerate()
+                .for_each(|(o, g_row)| {
+                    add_scaled_rows(g_row, ds.iter().zip(&xs).map(|(d, &x)| (d[o], x)));
+                });
+            for d in &ds {
+                for (g, &d) in rest[..layer.out_dim].iter_mut().zip(*d) {
+                    *g += d;
+                }
+            }
+            offset += layer.param_count();
+        }
+    }
 
-        // Pre-compute per-layer parameter offsets.
-        let mut offsets = Vec::with_capacity(self.layers.len());
-        let mut off = 0usize;
-        for layer in &self.layers {
-            offsets.push(off);
-            off += layer.param_count();
+    /// Forward and delta passes for one sample, written into its `record`
+    /// (see [`RecordLayout`]); `transposed[l]` is layer `l`'s weight matrix
+    /// transposed to `in_dim × out_dim`.
+    fn forward_backward(
+        &self,
+        layout: &RecordLayout,
+        transposed: &[Vec<f32>],
+        x: &[f32],
+        y: f32,
+        batch_len: usize,
+        record: &mut [f32],
+    ) {
+        assert_eq!(x.len(), self.input_dim, "input dimension mismatch");
+        let last = self.layers.len() - 1;
+        for (l, (layer, wt)) in self.layers.iter().zip(transposed).enumerate() {
+            let (before, after) = record.split_at_mut(layout.offsets[l]);
+            let input = match l {
+                0 => x,
+                _ => layout.act(before, l - 1),
+            };
+            let out = &mut after[..layer.out_dim];
+            layer.forward_transposed(wt, input, out);
+            if l != last {
+                for v in out.iter_mut() {
+                    if *v < 0.0 {
+                        *v = 0.0;
+                    }
+                }
+            }
         }
 
-        for l in (0..self.layers.len()).rev() {
+        // Output delta: the derivative of this sample's share of the loss.
+        let (acts, deltas) = record.split_at_mut(layout.width);
+        let pred = layout.act(acts, last)[0];
+        deltas[layout.offsets[last]] = 2.0 * (pred - y) / batch_len as f32;
+
+        // Propagate deltas down to the first hidden layer, masked by the
+        // ReLU derivative (zero where the activation was zero).
+        for l in (1..self.layers.len()).rev() {
             let layer = &self.layers[l];
-            let input = &acts[l];
-            let w_off = offsets[l];
-            let b_off = w_off + layer.w.len();
-
-            // Gradients for this layer.
-            for o in 0..layer.out_dim {
-                let d = delta[o];
-                if d != 0.0 {
-                    let row = &mut grads[w_off + o * layer.in_dim..w_off + (o + 1) * layer.in_dim];
-                    for (g, &xi) in row.iter_mut().zip(input.iter()) {
-                        *g += d * xi;
-                    }
+            let (lower, upper) = deltas.split_at_mut(layout.offsets[l]);
+            let prev = &mut lower[layout.offsets[l - 1]..][..layer.in_dim];
+            prev.fill(0.0);
+            let terms = upper[..layer.out_dim]
+                .iter()
+                .zip(layer.w.chunks_exact(layer.in_dim));
+            add_scaled_rows(prev, terms.map(|(&d, row)| (d, row)));
+            for (pd, &a) in prev.iter_mut().zip(layout.act(acts, l - 1)) {
+                if a <= 0.0 {
+                    *pd = 0.0;
                 }
-                grads[b_off + o] += d;
             }
+        }
+    }
+}
 
-            // Propagate delta to the previous layer (skip for the input).
-            if l > 0 {
-                let prev_layer_out = &acts[l]; // post-ReLU output of layer l-1
-                let mut prev_delta = vec![0.0f32; layer.in_dim];
-                for (o, &d) in delta.iter().enumerate().take(layer.out_dim) {
-                    if d == 0.0 {
-                        continue;
-                    }
-                    let row = &layer.w[o * layer.in_dim..(o + 1) * layer.in_dim];
-                    for (pd, &w) in prev_delta.iter_mut().zip(row.iter()) {
-                        *pd += d * w;
-                    }
-                }
-                // ReLU derivative: zero where the previous activation was zero.
-                for (pd, &a) in prev_delta.iter_mut().zip(prev_layer_out.iter()) {
-                    if a <= 0.0 {
-                        *pd = 0.0;
-                    }
-                }
-                delta = prev_delta;
+/// Output units computed together by [`Dense::forward_transposed`].
+const LANES: usize = 8;
+
+impl Dense {
+    /// `out[o] = dot(w_o, x) + b[o]` for every output unit, bit-identical to
+    /// [`Dense::forward`], from the `in_dim × out_dim` transposed weights
+    /// `wt`. Each output keeps `ops::dot`'s exact accumulation (four
+    /// partial sums over `j mod 4` in order, then a tail, combined as
+    /// `s0 + s1 + s2 + s3 + tail`), but [`LANES`] outputs advance together,
+    /// one contiguous load of `wt` per input element. Outputs beyond the
+    /// last full group of lanes take the scalar `dot`.
+    ///
+    /// Training refreshes `wt` once per minibatch and shares it across the
+    /// minibatch's samples; inference ([`Mlp::predict_batch`]) keeps its
+    /// `dot4` tiles over the weights as stored, which need no copy.
+    fn forward_transposed(&self, wt: &[f32], x: &[f32], out: &mut [f32]) {
+        /// `acc[lane] += w[lane] * xj` across one group of lanes.
+        #[inline(always)]
+        fn add_lanes(acc: &mut [f32; LANES], w: &[f32], xj: f32) {
+            let w: &[f32; LANES] = w[..LANES].try_into().expect("LANES-wide slice");
+            for lane in 0..LANES {
+                acc[lane] += w[lane] * xj;
             }
+        }
+        let (n, m) = (self.in_dim, self.out_dim);
+        let chunks = n / 4;
+        let blocked = m / LANES * LANES;
+        for o0 in (0..blocked).step_by(LANES) {
+            let wt = &wt[o0..];
+            let mut partial = [[0.0f32; LANES]; 4];
+            let [s0, s1, s2, s3] = &mut partial;
+            for j in (0..chunks * 4).step_by(4) {
+                add_lanes(s0, &wt[j * m..], x[j]);
+                add_lanes(s1, &wt[(j + 1) * m..], x[j + 1]);
+                add_lanes(s2, &wt[(j + 2) * m..], x[j + 2]);
+                add_lanes(s3, &wt[(j + 3) * m..], x[j + 3]);
+            }
+            let mut tail = [0.0f32; LANES];
+            for j in chunks * 4..n {
+                add_lanes(&mut tail, &wt[j * m..], x[j]);
+            }
+            for lane in 0..LANES {
+                let [s0, s1, s2, s3] = partial.map(|s| s[lane]);
+                out[o0 + lane] = s0 + s1 + s2 + s3 + tail[lane] + self.b[o0 + lane];
+            }
+        }
+        let rows = self.w.chunks_exact(n).zip(&self.b).skip(blocked);
+        for (out, (row, &b)) in out[blocked..m].iter_mut().zip(rows) {
+            *out = laf_vector::ops::dot(row, x) + b;
+        }
+    }
+}
+
+/// `acc += c · v` for every `(c, v)` term in order, skipping zero
+/// coefficients, bit-identical to one `acc[i] += c * v[i]` sweep per term:
+/// four terms share each pass over `acc`, but every element still adds them
+/// one at a time in term order (f32 addition is left-associative here and
+/// never contracted to a fused multiply-add).
+fn add_scaled_rows<'a>(acc: &mut [f32], terms: impl Iterator<Item = (f32, &'a [f32])>) {
+    let n = acc.len();
+    let mut pending: [(f32, &[f32]); 4] = [(0.0, &[]); 4];
+    let mut held = 0;
+    for (c, v) in terms {
+        if c == 0.0 {
+            continue;
+        }
+        pending[held] = (c, &v[..n]);
+        held += 1;
+        if held == 4 {
+            let [(c0, v0), (c1, v1), (c2, v2), (c3, v3)] = pending;
+            let (v0, v1, v2, v3) = (&v0[..n], &v1[..n], &v2[..n], &v3[..n]);
+            for i in 0..n {
+                acc[i] = acc[i] + c0 * v0[i] + c1 * v1[i] + c2 * v2[i] + c3 * v3[i];
+            }
+            held = 0;
+        }
+    }
+    for &(c, v) in &pending[..held] {
+        for (a, &x) in acc.iter_mut().zip(v) {
+            *a += c * x;
+        }
+    }
+}
+
+/// Where a sample's intermediate values live in its training record: every
+/// layer's post-activation outputs (layer `l` at `offsets[l]`), then every
+/// layer's output deltas (layer `l` at `width + offsets[l]`).
+struct RecordLayout {
+    /// Output width of each layer.
+    widths: Vec<usize>,
+    /// `offsets[l]` = summed output widths of the layers before `l`.
+    offsets: Vec<usize>,
+    /// Summed output widths of all layers.
+    width: usize,
+}
+
+impl RecordLayout {
+    fn new(net: &Mlp) -> Self {
+        let widths: Vec<usize> = net.layers.iter().map(|layer| layer.out_dim).collect();
+        let offsets = widths
+            .iter()
+            .scan(0, |sum, &w| {
+                let start = *sum;
+                *sum += w;
+                Some(start)
+            })
+            .collect();
+        Self {
+            width: widths.iter().sum(),
+            widths,
+            offsets,
+        }
+    }
+
+    /// Floats per record: activations plus deltas.
+    fn record_len(&self) -> usize {
+        2 * self.width
+    }
+
+    /// Layer `l`'s output activations in `record` (which may extend past
+    /// the record's end).
+    fn act<'r>(&self, record: &'r [f32], l: usize) -> &'r [f32] {
+        &record[self.offsets[l]..self.offsets[l] + self.widths[l]]
+    }
+
+    /// Layer `l`'s output deltas in `record`.
+    fn delta<'r>(&self, record: &'r [f32], l: usize) -> &'r [f32] {
+        self.act(&record[self.width..], l)
+    }
+}
+
+/// Training buffers, sized once per [`Mlp::train`] call so the minibatch
+/// loop allocates nothing per sample.
+struct Workspace {
+    layout: RecordLayout,
+    /// One record per minibatch sample.
+    records: Vec<f32>,
+    /// Each layer's weights transposed to `in_dim × out_dim`, refreshed at
+    /// the start of every minibatch.
+    transposed: Vec<Vec<f32>>,
+}
+
+impl Workspace {
+    fn new(net: &Mlp, batch: usize) -> Self {
+        let layout = RecordLayout::new(net);
+        Self {
+            records: vec![0.0; batch * layout.record_len()],
+            layout,
+            transposed: net
+                .layers
+                .iter()
+                .map(|layer| vec![0.0; layer.w.len()])
+                .collect(),
         }
     }
 }

@@ -8,14 +8,17 @@
 //!
 //! 1. takes the training split of a dataset,
 //! 2. samples (or uses all) query points from it,
-//! 3. counts their exact neighbors at every threshold in the grid using the
-//!    brute-force engine (in parallel), and
+//! 3. counts their exact neighbors at every threshold in the grid in one
+//!    brute-force pass (in parallel over tiles of four queries): each
+//!    (query, row) distance is computed once through
+//!    [`laf_vector::MetricKernel`] — four queries per row load via `dot4`
+//!    where the metric allows — and compared against the whole grid, which
+//!    yields exactly the counts of one `range_count` per threshold, and
 //! 4. emits features `[query ⊕ ε]` with targets `ln(1 + count)` — the log
 //!    transform keeps the regression well-conditioned across the orders of
 //!    magnitude that cardinalities span.
 
-use laf_index::{LinearScan, RangeQueryEngine};
-use laf_vector::{Dataset, Metric, VectorError};
+use laf_vector::{Dataset, Metric, MetricKernel, VectorError};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rayon::prelude::*;
@@ -134,35 +137,85 @@ impl TrainingSetBuilder {
             _ => queries.clone(),
         };
 
-        let scan = LinearScan::new(reference, self.metric);
-        let thresholds = self.thresholds.clone();
+        let t = self.thresholds.len();
+        let counts = threshold_counts(&query_set, reference, self.metric, &self.thresholds);
         let samples: Vec<TrainingSample> = (0..query_set.len())
-            .into_par_iter()
-            .flat_map_iter(|qi| {
-                let q = query_set.row(qi).to_vec();
-                // One scan per (query, threshold); counting all thresholds in
-                // a single pass would be faster but this mirrors the
-                // range_count interface the estimators themselves see.
-                let scan = &scan;
-                thresholds.clone().into_iter().map(move |eps| {
-                    let count = scan.range_count(&q, eps) as u32;
-                    let mut features = q.clone();
-                    features.push(eps);
-                    TrainingSample {
-                        features,
-                        log_cardinality: (count as f32).ln_1p(),
-                        cardinality: count,
-                    }
-                })
+            .flat_map(|qi| {
+                let q = query_set.row(qi);
+                let counts = &counts[qi * t..(qi + 1) * t];
+                counts
+                    .iter()
+                    .zip(&self.thresholds)
+                    .map(move |(&count, &eps)| {
+                        let mut features = Vec::with_capacity(q.len() + 1);
+                        features.extend_from_slice(q);
+                        features.push(eps);
+                        TrainingSample {
+                            features,
+                            log_cardinality: (count as f32).ln_1p(),
+                            cardinality: count,
+                        }
+                    })
             })
             .collect();
 
         Ok(TrainingSet {
             dim: reference.dim(),
-            thresholds,
+            thresholds: self.thresholds.clone(),
             samples,
         })
     }
+}
+
+/// Exact neighbor counts of every query at every threshold, query-major
+/// (`counts[q * thresholds.len() + t]`), where a neighbor is a reference row
+/// at distance `< thresholds[t]`.
+///
+/// Each (query, row) distance is computed once and compared against the
+/// whole grid. [`MetricKernel::dist`] is bit-identical to [`Metric::dist`],
+/// and the brute-force engine's `range_count` decides `dist < eps` on those
+/// same bits, so the counts equal one `LinearScan::range_count` per
+/// threshold for any grid: unsorted, negative (NegDot) or with repeats.
+fn threshold_counts(
+    queries: &Dataset,
+    reference: &Dataset,
+    metric: Metric,
+    thresholds: &[f32],
+) -> Vec<u32> {
+    let kernel = MetricKernel::new(metric);
+    let norms = reference.row_norms();
+    let t = thresholds.len();
+    let tiles: Vec<Vec<u32>> = (0..queries.len().div_ceil(4))
+        .into_par_iter()
+        .map(|tile| {
+            let lanes = (queries.len() - tile * 4).min(4);
+            let mut counts = vec![0u32; lanes * t];
+            let mut tally = |lane: usize, d: f32| {
+                for (c, &eps) in counts[lane * t..(lane + 1) * t].iter_mut().zip(thresholds) {
+                    *c += u32::from(d < eps);
+                }
+            };
+            let prepared: Vec<_> = (0..lanes)
+                .map(|lane| kernel.prepare(queries.row(tile * 4 + lane)))
+                .collect();
+            if let Ok(four) = <&[_; 4]>::try_from(prepared.as_slice()) {
+                for (i, row) in reference.rows().enumerate() {
+                    let d = kernel.dist4(four, row, norms.norm(i));
+                    for (lane, &d) in d.iter().enumerate() {
+                        tally(lane, d);
+                    }
+                }
+            } else {
+                for (i, row) in reference.rows().enumerate() {
+                    for (lane, p) in prepared.iter().enumerate() {
+                        tally(lane, kernel.dist(p, row, norms.norm(i)));
+                    }
+                }
+            }
+            counts
+        })
+        .collect();
+    tiles.concat()
 }
 
 #[cfg(test)]

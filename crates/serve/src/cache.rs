@@ -37,6 +37,7 @@
 //! `resident_bytes <= byte_budget` holds at every instant the inner lock is
 //! released.
 
+use crate::request::InvalidRequest;
 use laf_core::fault;
 use laf_core::snapshot::Snapshot;
 use laf_core::{LafPipeline, SnapshotError};
@@ -136,6 +137,14 @@ pub enum CacheError {
         /// The quarantined tenant.
         tenant: String,
     },
+    /// A read query does not fit the tenant's dataset
+    /// ([`crate::TenantServer::submit`] checks before querying).
+    InvalidRequest {
+        /// The tenant the query was routed to.
+        tenant: String,
+        /// What is wrong with the query.
+        reason: InvalidRequest,
+    },
 }
 
 impl fmt::Display for CacheError {
@@ -187,6 +196,9 @@ impl fmt::Display for CacheError {
                     "tenant `{tenant}` snapshot is quarantined (scrub found corruption); \
                      re-register a repaired file"
                 )
+            }
+            CacheError::InvalidRequest { tenant, reason } => {
+                write!(f, "invalid request for tenant `{tenant}`: {reason}")
             }
         }
     }

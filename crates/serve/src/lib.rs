@@ -159,7 +159,7 @@ pub use config::{ServeConfig, TILE};
 pub use maintenance::{
     MaintenanceConfig, MaintenanceSupervisor, RepairError, ReplicaSet, SnapshotSource, TenantHealth,
 };
-pub use request::{QueryRequest, QueryResponse, WriteError};
+pub use request::{InvalidRequest, QueryRequest, QueryResponse, WriteError};
 pub use server::{LafServer, ServeError, Served, Ticket};
 pub use stats::{OccupancyBucket, ServeStats, ServeStatsReport, OCCUPANCY_BUCKETS};
 pub use tenant::TenantServer;

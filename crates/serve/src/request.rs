@@ -40,6 +40,70 @@ impl std::fmt::Display for WriteError {
 
 impl std::error::Error for WriteError {}
 
+/// Why a read request was refused at submission, before it was queued.
+///
+/// Both serving fronts check every read query against the served dataset:
+/// a query of the wrong length, or with a NaN or infinite coordinate, gets
+/// this error instead of reaching the distance kernels. The range radius is
+/// not checked: NegDot thresholds are legitimately negative, and an
+/// infinite or NaN radius is well defined (everything or nothing is in
+/// range).
+#[non_exhaustive]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum InvalidRequest {
+    /// The query's length is not the dataset's dimensionality.
+    DimensionMismatch {
+        /// The dataset's dimensionality.
+        expected: usize,
+        /// The query's length.
+        found: usize,
+    },
+    /// The query holds a NaN or infinite coordinate.
+    NonFiniteQuery,
+}
+
+impl InvalidRequest {
+    /// Check a read query against a dataset of dimensionality `dim`.
+    pub(crate) fn check(query: &[f32], dim: usize) -> Result<(), InvalidRequest> {
+        if query.len() != dim {
+            return Err(InvalidRequest::DimensionMismatch {
+                expected: dim,
+                found: query.len(),
+            });
+        }
+        if !query.iter().all(|v| v.is_finite()) {
+            return Err(InvalidRequest::NonFiniteQuery);
+        }
+        Ok(())
+    }
+}
+
+impl std::fmt::Display for InvalidRequest {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            InvalidRequest::DimensionMismatch { expected, found } => {
+                write!(f, "query has {found} dimensions, the dataset {expected}")
+            }
+            InvalidRequest::NonFiniteQuery => write!(f, "query holds a NaN or infinite value"),
+        }
+    }
+}
+
+impl std::error::Error for InvalidRequest {}
+
+impl QueryRequest {
+    /// The query vector of a read request (`None` for the write kinds).
+    pub(crate) fn read_query(&self) -> Option<&[f32]> {
+        match self {
+            QueryRequest::Range { query, .. }
+            | QueryRequest::RangeCount { query, .. }
+            | QueryRequest::Knn { query, .. }
+            | QueryRequest::Estimate { query, .. } => Some(query),
+            QueryRequest::Insert { .. } | QueryRequest::Delete { .. } => None,
+        }
+    }
+}
+
 /// One request, any kind: the argument to [`crate::LafServer::submit`],
 /// [`crate::LafServer::submit_async`] and [`crate::TenantServer::submit`].
 ///

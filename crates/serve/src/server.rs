@@ -1,7 +1,7 @@
 //! The coalescing dispatcher: [`LafServer`].
 
 use crate::config::{ServeConfig, TILE};
-use crate::request::{QueryRequest, QueryResponse, WriteError};
+use crate::request::{InvalidRequest, QueryRequest, QueryResponse, WriteError};
 use crate::stats::{ServeStats, ServeStatsReport};
 use laf_core::fault;
 use laf_core::{LafPipeline, MutablePipeline, SharedEngine, SnapshotError};
@@ -69,6 +69,9 @@ pub enum ServeError {
     /// the previous epoch. The caller still owns the replacement workflow
     /// (rebuild the pipeline and reload again).
     ReloadFailed,
+    /// A read query does not fit the served dataset; it was refused before
+    /// it was queued, so it can never disturb the dispatcher.
+    InvalidRequest(InvalidRequest),
 }
 
 impl fmt::Display for ServeError {
@@ -88,6 +91,7 @@ impl fmt::Display for ServeError {
                     "epoch flip failed: the previous snapshot is still serving"
                 )
             }
+            ServeError::InvalidRequest(reason) => write!(f, "invalid request: {reason}"),
         }
     }
 }
@@ -397,7 +401,20 @@ impl LafServer {
     /// admission control, the queue, and the wake policy live in
     /// [`LafServer::enqueue`]; `extract` narrows the delivered [`Reply`] to
     /// the caller's type.
+    ///
+    /// Read queries are validated here, against the dimensionality of the
+    /// epoch currently serving: a malformed query must never reach the
+    /// dispatcher, where a kernel's length assertion would take down every
+    /// later request.
     fn submit_work<T>(&self, work: Work, extract: fn(Reply) -> T) -> Result<Ticket<T>, ServeError> {
+        if let Work::Range { query, .. }
+        | Work::RangeCount { query, .. }
+        | Work::Knn { query, .. }
+        | Work::Estimate { query, .. } = &work
+        {
+            let dim = self.shared.current.lock().unwrap().pipeline.data().dim();
+            InvalidRequest::check(query, dim).map_err(ServeError::InvalidRequest)?;
+        }
         Ok(Ticket {
             slot: self.enqueue(work)?,
             shared: Arc::clone(&self.shared),
@@ -1009,6 +1026,80 @@ mod tests {
         assert_send_sync::<LafServer>();
         assert_send_sync::<ServeError>();
         assert_send_sync::<Served<Vec<u32>>>();
+    }
+
+    #[test]
+    fn malformed_reads_get_a_typed_error_and_the_server_keeps_serving() {
+        // Regression: a 7-dim query to a 16-dim sharded server used to panic
+        // inside the shard fan-out, and every later request hung.
+        let data = EmbeddingMixtureConfig {
+            n_points: 200,
+            dim: 16,
+            clusters: 3,
+            seed: 5,
+            ..Default::default()
+        }
+        .generate()
+        .unwrap()
+        .0;
+        let pipeline = LafPipeline::builder(LafConfig::new(0.3, 4, 1.0))
+            .net(NetConfig::tiny())
+            .training(TrainingSetBuilder {
+                max_queries: Some(30),
+                ..Default::default()
+            })
+            .shards(2)
+            .train(data)
+            .unwrap();
+        let engine = pipeline.engine();
+        let q = pipeline.data().row(3).to_vec();
+        let server = LafServer::start(
+            pipeline,
+            ServeConfig {
+                // A regression must fail the test, not hang it.
+                request_deadline_us: 30_000_000,
+                ..ServeConfig::default()
+            },
+        );
+
+        let short = QueryRequest::Range {
+            query: vec![0.5; 7],
+            eps: 0.3,
+        };
+        assert_eq!(
+            server.submit(short).unwrap_err(),
+            ServeError::InvalidRequest(InvalidRequest::DimensionMismatch {
+                expected: 16,
+                found: 7
+            })
+        );
+        let mut nan = q.clone();
+        nan[2] = f32::NAN;
+        assert_eq!(
+            server.knn(&nan, 3).unwrap_err(),
+            ServeError::InvalidRequest(InvalidRequest::NonFiniteQuery)
+        );
+        let mut inf = q.clone();
+        inf[0] = f32::INFINITY;
+        assert!(matches!(
+            server.estimate_async(&inf, 0.3),
+            Err(ServeError::InvalidRequest(InvalidRequest::NonFiniteQuery))
+        ));
+        assert!(matches!(
+            server.range_count_async(&[0.0; 17], 0.3),
+            Err(ServeError::InvalidRequest(
+                InvalidRequest::DimensionMismatch { found: 17, .. }
+            ))
+        ));
+
+        // The radius is not validated: negative thresholds are meaningful
+        // (NegDot), and the server is still answering after the bad requests.
+        assert_eq!(
+            server.range(&q, -0.5).unwrap().value,
+            engine.range(&q, -0.5)
+        );
+        assert_eq!(server.range(&q, 0.3).unwrap().value, engine.range(&q, 0.3));
+        assert_eq!(server.knn(&q, 4).unwrap().value, engine.knn(&q, 4));
     }
 
     #[test]

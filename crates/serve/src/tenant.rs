@@ -11,7 +11,7 @@
 
 use crate::cache::{CacheError, PinnedSnapshot, SnapshotCache};
 use crate::maintenance::{MaintenanceConfig, MaintenanceSupervisor, SnapshotSource};
-use crate::request::{QueryRequest, QueryResponse};
+use crate::request::{InvalidRequest, QueryRequest, QueryResponse};
 use laf_clustering::Clustering;
 use laf_core::LafStats;
 use laf_index::Neighbor;
@@ -73,6 +73,14 @@ impl TenantServer {
             _ => {}
         }
         let pin = self.cache.pin(tenant)?;
+        if let Some(query) = request.read_query() {
+            InvalidRequest::check(query, pin.data().dim()).map_err(|reason| {
+                CacheError::InvalidRequest {
+                    tenant: tenant.to_string(),
+                    reason,
+                }
+            })?;
+        }
         Ok(match request {
             QueryRequest::Range { query, eps } => {
                 QueryResponse::Range(pin.engine().get().range(&query, eps))
@@ -226,6 +234,48 @@ mod tests {
         for p in [pa, pb] {
             std::fs::remove_file(p).ok();
         }
+    }
+
+    #[test]
+    fn malformed_tenant_reads_get_a_typed_error() {
+        let (path, bytes, direct) = snapshot_file("malformed", 33);
+        let cache = SnapshotCache::new(CacheConfig {
+            byte_budget: bytes * 2,
+            ..CacheConfig::default()
+        });
+        cache.register("t", &path).unwrap();
+        let server = TenantServer::new(Arc::clone(&cache));
+        match server.range("t", &[0.1; 5], 0.3).unwrap_err() {
+            CacheError::InvalidRequest { tenant, reason } => {
+                assert_eq!(tenant, "t");
+                assert_eq!(
+                    reason,
+                    InvalidRequest::DimensionMismatch {
+                        expected: 6,
+                        found: 5
+                    }
+                );
+            }
+            other => panic!("expected InvalidRequest, got {other}"),
+        }
+        let q = direct.data().row(1).to_vec();
+        let mut nan = q.clone();
+        nan[4] = f32::NAN;
+        assert!(matches!(
+            server.knn("t", &nan, 3).unwrap_err(),
+            CacheError::InvalidRequest {
+                reason: InvalidRequest::NonFiniteQuery,
+                ..
+            }
+        ));
+        // A valid query afterwards is answered, and no pin leaked.
+        assert_eq!(
+            server.range("t", &q, 0.3).unwrap(),
+            direct.engine().get().range(&q, 0.3)
+        );
+        let report = cache.report();
+        assert_eq!(report.pins, report.unpins);
+        std::fs::remove_file(path).ok();
     }
 
     #[test]

@@ -8,8 +8,10 @@
 //! | MS-100k    | 107,400         | 768 | 2.0       | Passage embedding |
 //! | MS-50k     |  53,700         | 768 | 1.5       | Passage embedding |
 //!
-//! Real corpora are replaced by the synthetic generators in this crate (see
-//! DESIGN.md §4). A [`DatasetCatalog`] carries a single `scale` factor in
+//! Real corpora are replaced by the synthetic generators in this crate: the
+//! reproduction builds and runs offline, and the generators reproduce the
+//! properties LAF's results depend on (clustered directions, a noise
+//! fraction, the paper's dimensionalities). A [`DatasetCatalog`] carries a single `scale` factor in
 //! `(0, 1]`: `scale = 1.0` generates the paper-sized datasets (slow!), the
 //! default `scale = 0.02` generates proportionally smaller ones so the full
 //! experiment suite runs on a laptop.

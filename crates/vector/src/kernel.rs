@@ -220,18 +220,48 @@ impl MetricKernel {
     #[inline]
     pub fn dist(&self, prepared: &PreparedQuery<'_>, x: &[f32], x_norm: f32) -> f32 {
         match self.metric {
-            Metric::Cosine => {
-                1.0 - cosine_sim_from_dot(ops::dot(prepared.q, x), prepared.norm, x_norm)
+            Metric::Euclidean => ops::squared_euclidean(prepared.q, x).sqrt(),
+            Metric::SquaredEuclidean => ops::squared_euclidean(prepared.q, x),
+            _ => self.dist_from_dot(ops::dot(prepared.q, x), prepared.norm, x_norm),
+        }
+    }
+
+    /// Four [`MetricKernel::dist`] values against one row: the query-major
+    /// mini-GEMM counterpart of `dist`, streaming the row once through
+    /// [`ops::dot4`] for the dot-product metrics. Every lane is bit-identical
+    /// to `dist` (`dot4` lanes equal `dot`); the Euclidean family evaluates
+    /// its exact subtract form per lane.
+    #[inline]
+    pub fn dist4(&self, prepared: &[PreparedQuery<'_>; 4], x: &[f32], x_norm: f32) -> [f32; 4] {
+        match self.metric {
+            Metric::Euclidean | Metric::SquaredEuclidean => {
+                [0, 1, 2, 3].map(|lane| self.dist(&prepared[lane], x, x_norm))
             }
+            _ => {
+                let [p0, p1, p2, p3] = prepared;
+                let dots = ops::dot4(p0.q, p1.q, p2.q, p3.q, x);
+                [0, 1, 2, 3].map(|lane| self.dist_from_dot(dots[lane], prepared[lane].norm, x_norm))
+            }
+        }
+    }
+
+    /// The cosine/angular/neg-dot distance as an exact function of
+    /// `(dot, ||q||, ||x||)` — the one expression `dist`, `dist4` and the
+    /// range predicates all evaluate.
+    #[inline]
+    fn dist_from_dot(&self, dot: f32, q_norm: f32, x_norm: f32) -> f32 {
+        match self.metric {
+            Metric::Cosine => 1.0 - cosine_sim_from_dot(dot, q_norm, x_norm),
             Metric::Angular => {
-                cosine_sim_from_dot(ops::dot(prepared.q, x), prepared.norm, x_norm)
+                cosine_sim_from_dot(dot, q_norm, x_norm)
                     .clamp(-1.0, 1.0)
                     .acos()
                     / std::f32::consts::PI
             }
-            Metric::Euclidean => ops::squared_euclidean(prepared.q, x).sqrt(),
-            Metric::SquaredEuclidean => ops::squared_euclidean(prepared.q, x),
-            Metric::NegDot => -ops::dot(prepared.q, x),
+            Metric::NegDot => -dot,
+            Metric::Euclidean | Metric::SquaredEuclidean => {
+                unreachable!("euclidean distances are not a function of the dot product")
+            }
         }
     }
 
@@ -290,20 +320,7 @@ impl MetricKernel {
     /// decision replicates the generic expression bit-for-bit.
     #[inline]
     fn dot_decide(&self, probe: &RangeProbe<'_>, dot: f32, x_norm: f32) -> bool {
-        match self.metric {
-            Metric::Cosine => 1.0 - cosine_sim_from_dot(dot, probe.norm, x_norm) < probe.eps,
-            Metric::Angular => {
-                cosine_sim_from_dot(dot, probe.norm, x_norm)
-                    .clamp(-1.0, 1.0)
-                    .acos()
-                    / std::f32::consts::PI
-                    < probe.eps
-            }
-            Metric::NegDot => -dot < probe.eps,
-            Metric::Euclidean | Metric::SquaredEuclidean => {
-                unreachable!("euclidean predicates go through euclid_decide")
-            }
-        }
+        self.dist_from_dot(dot, probe.norm, x_norm) < probe.eps
     }
 
     /// Decide a Euclidean-family predicate from the precomputed dot, with the
@@ -377,6 +394,31 @@ mod tests {
                         metric.dist(&q, row).to_bits(),
                         "{metric:?} dim {dim} row {i}"
                     );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn dist4_lanes_are_bit_identical_to_dist_for_every_metric() {
+        for dim in [1usize, 4, 9, 17] {
+            let mut all = rows(dim, 10, 1.7);
+            all.push(vec![0.0; dim]); // degenerate row: similarity-0 semantics
+            let data = Dataset::from_rows(all).unwrap();
+            let norms = data.row_norms();
+            let queries = rows(dim, 4, 0.9);
+            for metric in Metric::ALL {
+                let kernel = MetricKernel::new(metric);
+                let prepared = [0, 1, 2, 3].map(|j| kernel.prepare(&queries[j]));
+                for (i, row) in data.rows().enumerate() {
+                    let lanes = kernel.dist4(&prepared, row, norms.norm(i));
+                    for (lane, prep) in prepared.iter().enumerate() {
+                        assert_eq!(
+                            lanes[lane].to_bits(),
+                            kernel.dist(prep, row, norms.norm(i)).to_bits(),
+                            "{metric:?} dim {dim} row {i} lane {lane}"
+                        );
+                    }
                 }
             }
         }
