@@ -14,6 +14,11 @@
 //! against the precomputed synchronous answer, so the benchmark doubles as
 //! an end-to-end bit-exactness check of the coalescing path.
 //!
+//! An ungated "lone" arm runs one client with one request in flight
+//! against the coalescing configuration: the latency an isolated request
+//! pays, which a work-conserving dispatcher keeps at one dispatch round
+//! trip.
+//!
 //! Results are printed as a table and written to
 //! `<results_dir>/BENCH_serving.json` with p50/p99 latency, throughput,
 //! batch-occupancy histograms and rejection counts per load. The
@@ -65,7 +70,7 @@ const MEASURE_WINDOWS: usize = 5;
 /// One measured (dispatch mode, offered load) arm.
 #[derive(Debug, Clone, Serialize)]
 pub struct ServingRecord {
-    /// `coalesced` or `uncoalesced`.
+    /// `coalesced`, `uncoalesced` or `lone`.
     pub mode: String,
     /// Closed-loop client threads driving the server.
     pub clients: usize,
@@ -111,6 +116,9 @@ pub struct ServingReport {
     pub results_identical: bool,
     /// One record per (mode, load) arm.
     pub records: Vec<ServingRecord>,
+    /// The ungated lone arm: one client, one request in flight, against
+    /// the coalescing configuration.
+    pub lone: ServingRecord,
 }
 
 impl ServingReport {
@@ -152,73 +160,133 @@ struct DriveOutcome {
     latencies_us: Vec<u64>,
 }
 
-/// Drive `clients` closed-loop threads against `server` for `seconds`, each
-/// keeping up to [`PIPELINE`] tickets in flight. When `record` is false
-/// (warm-up) nothing is tallied. Every in-flight ticket is drained before a
-/// client exits, so no request outlives the drive.
-fn drive(
-    server: &LafServer,
-    clients: usize,
-    queries: &[Vec<f32>],
-    expected: &[usize],
+/// What every measured arm shares: the served snapshot, the query cycle and
+/// its synchronous answers.
+struct Arm<'a> {
+    snapshot_bytes: &'a [u8],
+    queries: &'a [Vec<f32>],
+    expected: &'a [usize],
     eps: f32,
-    seconds: f64,
-    record: bool,
-) -> DriveOutcome {
-    let deadline = Instant::now() + Duration::from_secs_f64(seconds);
-    let per_client: Vec<DriveOutcome> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..clients)
-            .map(|c| {
-                scope.spawn(move || {
-                    let mut out = DriveOutcome::default();
-                    // Staggered offsets so clients do not march in lockstep.
-                    let mut i = (c * 17) % queries.len();
-                    let mut inflight: VecDeque<(usize, Instant, Ticket<usize>)> =
-                        VecDeque::with_capacity(PIPELINE);
-                    loop {
-                        if Instant::now() < deadline {
-                            while inflight.len() < PIPELINE {
-                                i = (i + 1) % queries.len();
-                                let submitted = Instant::now();
-                                match server.range_count_async(&queries[i], eps) {
-                                    Ok(ticket) => inflight.push_back((i, submitted, ticket)),
-                                    // The caller owns the retry policy; a
-                                    // closed-loop client waits out its oldest
-                                    // ticket (below), which itself drains the
-                                    // queue that bounced this submission.
-                                    Err(_) => break,
+}
+
+impl Arm<'_> {
+    /// Serve a fresh decode of the snapshot under `serve_config`, warm it
+    /// up, and measure [`MEASURE_WINDOWS`] windows of `clients` closed-loop
+    /// clients keeping `depth` requests in flight each.
+    fn measure(
+        &self,
+        mode: &str,
+        serve_config: ServeConfig,
+        clients: usize,
+        depth: usize,
+    ) -> ServingRecord {
+        let pipeline =
+            LafPipeline::from_snapshot_bytes(self.snapshot_bytes).expect("decode snapshot");
+        let server = LafServer::start(pipeline, serve_config);
+        let run = |seconds, record| self.drive(&server, clients, depth, seconds, record);
+        run(WARMUP_SECS, false);
+        let mut windows: Vec<(DriveOutcome, f64, ServeStatsReport)> = (0..MEASURE_WINDOWS)
+            .map(|_| {
+                server.stats().reset();
+                let started = Instant::now();
+                let outcome = run(MEASURE_SECS, true);
+                let seconds = started.elapsed().as_secs_f64();
+                (outcome, seconds, server.stats_report())
+            })
+            .collect();
+        server.shutdown();
+        // Correctness must hold in every window; performance is reported
+        // from the median-throughput window.
+        let mismatches: u64 = windows.iter().map(|(o, _, _)| o.mismatches).sum();
+        windows.sort_by(|a, b| {
+            let qa = a.0.completed as f64 / a.1;
+            let qb = b.0.completed as f64 / b.1;
+            qa.total_cmp(&qb)
+        });
+        let (mut outcome, seconds, stats) = windows.swap_remove(MEASURE_WINDOWS / 2);
+        let p50 = percentile_us(&mut outcome.latencies_us, 0.50);
+        let p99 = percentile_us(&mut outcome.latencies_us, 0.99);
+        ServingRecord {
+            mode: mode.to_string(),
+            clients,
+            seconds,
+            completed: outcome.completed,
+            throughput_qps: outcome.completed as f64 / seconds,
+            p50_latency_us: p50,
+            p99_latency_us: p99,
+            mismatches,
+            stats,
+        }
+    }
+
+    /// Drive `clients` closed-loop threads against `server` for `seconds`,
+    /// each keeping up to `depth` tickets in flight. When `record` is false
+    /// (warm-up) nothing is tallied. Every in-flight ticket is drained
+    /// before a client exits, so no request outlives the drive.
+    fn drive(
+        &self,
+        server: &LafServer,
+        clients: usize,
+        depth: usize,
+        seconds: f64,
+        record: bool,
+    ) -> DriveOutcome {
+        let (queries, expected, eps) = (self.queries, self.expected, self.eps);
+        let deadline = Instant::now() + Duration::from_secs_f64(seconds);
+        let per_client: Vec<DriveOutcome> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..clients)
+                .map(|c| {
+                    scope.spawn(move || {
+                        let mut out = DriveOutcome::default();
+                        // Staggered offsets so clients do not march in lockstep.
+                        let mut i = (c * 17) % queries.len();
+                        let mut inflight: VecDeque<(usize, Instant, Ticket<usize>)> =
+                            VecDeque::with_capacity(depth);
+                        loop {
+                            if Instant::now() < deadline {
+                                while inflight.len() < depth {
+                                    i = (i + 1) % queries.len();
+                                    let submitted = Instant::now();
+                                    match server.range_count_async(&queries[i], eps) {
+                                        Ok(ticket) => inflight.push_back((i, submitted, ticket)),
+                                        // The caller owns the retry policy; a
+                                        // closed-loop client waits out its oldest
+                                        // ticket (below), which itself drains the
+                                        // queue that bounced this submission.
+                                        Err(_) => break,
+                                    }
+                                }
+                            }
+                            let Some((qi, submitted, ticket)) = inflight.pop_front() else {
+                                break;
+                            };
+                            let served = ticket.wait();
+                            if record {
+                                out.latencies_us
+                                    .push(submitted.elapsed().as_micros() as u64);
+                                out.completed += 1;
+                                if served.value != expected[qi] {
+                                    out.mismatches += 1;
                                 }
                             }
                         }
-                        let Some((qi, submitted, ticket)) = inflight.pop_front() else {
-                            break;
-                        };
-                        let served = ticket.wait();
-                        if record {
-                            out.latencies_us
-                                .push(submitted.elapsed().as_micros() as u64);
-                            out.completed += 1;
-                            if served.value != expected[qi] {
-                                out.mismatches += 1;
-                            }
-                        }
-                    }
-                    out
+                        out
+                    })
                 })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("client thread"))
-            .collect()
-    });
-    let mut merged = DriveOutcome::default();
-    for out in per_client {
-        merged.completed += out.completed;
-        merged.mismatches += out.mismatches;
-        merged.latencies_us.extend(out.latencies_us);
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("client thread"))
+                .collect()
+        });
+        let mut merged = DriveOutcome::default();
+        for out in per_client {
+            merged.completed += out.completed;
+            merged.mismatches += out.mismatches;
+            merged.latencies_us.extend(out.latencies_us);
+        }
+        merged
     }
-    merged
 }
 
 /// `p`-quantile (0..=1) of an unsorted latency sample, microseconds.
@@ -266,76 +334,28 @@ pub fn run(cfg: &HarnessConfig) -> ServingReport {
     drop(engine);
     drop(pipeline);
 
+    let coalesced = ServeConfig {
+        max_batch: 64,
+        max_queue_depth: 512,
+        ..ServeConfig::default()
+    };
     let arms: [(&str, ServeConfig); 2] = [
         ("uncoalesced", ServeConfig::uncoalesced()),
-        (
-            "coalesced",
-            ServeConfig {
-                coalesce_window_us: 200,
-                max_batch: 64,
-                max_queue_depth: 512,
-                ..ServeConfig::default()
-            },
-        ),
+        ("coalesced", coalesced),
     ];
-
+    let arm = Arm {
+        snapshot_bytes: &snapshot_bytes,
+        queries: &queries,
+        expected: &expected,
+        eps,
+    };
     let mut records = Vec::new();
     for (mode, serve_config) in arms {
         for clients in LOAD_SWEEP {
-            let pipeline =
-                LafPipeline::from_snapshot_bytes(&snapshot_bytes).expect("decode snapshot");
-            let server = LafServer::start(pipeline, serve_config);
-            drive(
-                &server,
-                clients,
-                &queries,
-                &expected,
-                eps,
-                WARMUP_SECS,
-                false,
-            );
-            let mut windows: Vec<(DriveOutcome, f64, ServeStatsReport)> = (0..MEASURE_WINDOWS)
-                .map(|_| {
-                    server.stats().reset();
-                    let started = Instant::now();
-                    let outcome = drive(
-                        &server,
-                        clients,
-                        &queries,
-                        &expected,
-                        eps,
-                        MEASURE_SECS,
-                        true,
-                    );
-                    let seconds = started.elapsed().as_secs_f64();
-                    (outcome, seconds, server.stats_report())
-                })
-                .collect();
-            server.shutdown();
-            // Correctness must hold in every window; performance is reported
-            // from the median-throughput window.
-            let mismatches: u64 = windows.iter().map(|(o, _, _)| o.mismatches).sum();
-            windows.sort_by(|a, b| {
-                let qa = a.0.completed as f64 / a.1;
-                let qb = b.0.completed as f64 / b.1;
-                qa.total_cmp(&qb)
-            });
-            let (mut outcome, seconds, stats) = windows.swap_remove(MEASURE_WINDOWS / 2);
-            let p50 = percentile_us(&mut outcome.latencies_us, 0.50);
-            let p99 = percentile_us(&mut outcome.latencies_us, 0.99);
-            records.push(ServingRecord {
-                mode: mode.to_string(),
-                clients,
-                seconds,
-                completed: outcome.completed,
-                throughput_qps: outcome.completed as f64 / seconds,
-                p50_latency_us: p50,
-                p99_latency_us: p99,
-                mismatches,
-                stats,
-            });
+            records.push(arm.measure(mode, serve_config, clients, PIPELINE));
         }
     }
+    let lone = arm.measure("lone", coalesced, 1, 1);
 
     let rows: Vec<Vec<String>> = records
         .iter()
@@ -367,8 +387,13 @@ pub fn run(cfg: &HarnessConfig) -> ServingReport {
         &rows,
     );
 
+    println!(
+        "\nlone request (1 client, 1 in flight): p50 {:.0} us, p99 {:.0} us, occupancy {:.2}",
+        lone.p50_latency_us, lone.p99_latency_us, lone.stats.mean_batch_occupancy
+    );
+
     let saturation_clients = *LOAD_SWEEP.last().expect("non-empty sweep");
-    let results_identical = records.iter().all(|r| r.mismatches == 0);
+    let results_identical = records.iter().chain([&lone]).all(|r| r.mismatches == 0);
     let report = ServingReport {
         workload: "range_count".to_string(),
         n_points,
@@ -381,6 +406,7 @@ pub fn run(cfg: &HarnessConfig) -> ServingReport {
         saturation_speedup: 0.0,
         results_identical,
         records,
+        lone,
     };
     let saturation_speedup = {
         let baseline = report.qps("uncoalesced", saturation_clients);
@@ -438,6 +464,8 @@ mod tests {
             .records
             .iter()
             .all(|r| r.stats.completed >= r.completed));
+        assert_eq!(report.lone.mode, "lone");
+        assert!(report.lone.completed > 0 && report.lone.p99_latency_us > 0.0);
         assert!(report.saturation_speedup > 0.0);
         assert!(cfg.results_dir.join("BENCH_serving.json").exists());
     }

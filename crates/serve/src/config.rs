@@ -5,22 +5,18 @@ use std::time::Duration;
 
 /// Queries per mini-GEMM tile of the specialized batch kernels
 /// (`laf_vector`'s `dot4` path processes 4 queries per dataset-row load).
-/// The dispatcher flushes early once a whole tile is queued, because waiting
-/// longer cannot improve per-row amortization for those queries.
+/// [`crate::ServeStats`] counts the batches that fill whole tiles.
 pub const TILE: usize = 4;
 
 /// Tuning knobs for [`crate::LafServer`].
 ///
 /// The defaults target the container-scale workloads of the benches; real
-/// deployments tune `coalesce_window_us` against their latency budget (it is
-/// the worst-case queueing delay added to an isolated request) and
-/// `max_queue_depth` against memory and tail-latency bounds.
+/// deployments tune `max_queue_depth` against memory and tail-latency
+/// bounds. No knob trades latency for batching: the dispatcher is
+/// work-conserving, so a lone request is answered on arrival and batches
+/// form from the requests that queue behind a running batch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ServeConfig {
-    /// Maximum time a request waits for batch-mates before the dispatcher
-    /// flushes anyway, in microseconds. `0` disables waiting entirely: every
-    /// request dispatches as soon as the dispatcher sees it.
-    pub coalesce_window_us: u64,
     /// Largest merged batch handed to one kernel call. Values are clamped to
     /// at least 1; `1` degenerates to one-request-at-a-time dispatch (the
     /// uncoalesced baseline arm of `exp_serving`).
@@ -47,7 +43,6 @@ pub struct ServeConfig {
 impl Default for ServeConfig {
     fn default() -> Self {
         Self {
-            coalesce_window_us: 200,
             max_batch: 64,
             max_queue_depth: 1024,
             compact_threshold: 0,
@@ -57,20 +52,14 @@ impl Default for ServeConfig {
 }
 
 impl ServeConfig {
-    /// The baseline configuration `exp_serving` compares against: no
-    /// coalescing window and single-request batches, so every query runs the
-    /// scalar kernel path exactly as a direct synchronous call would.
+    /// The baseline configuration `exp_serving` compares against:
+    /// single-request batches, so every query runs the scalar kernel path
+    /// exactly as a direct synchronous call would, however deep the queue.
     pub fn uncoalesced() -> Self {
         Self {
-            coalesce_window_us: 0,
             max_batch: 1,
             ..Self::default()
         }
-    }
-
-    /// The coalescing window as a [`Duration`].
-    pub fn window(&self) -> Duration {
-        Duration::from_micros(self.coalesce_window_us)
     }
 
     /// The per-request deadline as a [`Duration`]; `None` when disabled.
@@ -88,20 +77,18 @@ mod tests {
         let c = ServeConfig::default();
         assert!(c.max_batch >= TILE);
         assert!(c.max_queue_depth >= c.max_batch);
-        assert_eq!(c.window(), Duration::from_micros(c.coalesce_window_us));
     }
 
     #[test]
     fn uncoalesced_is_one_at_a_time() {
         let c = ServeConfig::uncoalesced();
         assert_eq!(c.max_batch, 1);
-        assert_eq!(c.coalesce_window_us, 0);
+        assert_eq!(c.max_queue_depth, ServeConfig::default().max_queue_depth);
     }
 
     #[test]
     fn config_serde_round_trip() {
         let c = ServeConfig {
-            coalesce_window_us: 750,
             max_batch: 32,
             max_queue_depth: 256,
             compact_threshold: 128,
@@ -110,6 +97,9 @@ mod tests {
         let json = serde_json::to_string(&c).unwrap();
         let back: ServeConfig = serde_json::from_str(&json).unwrap();
         assert_eq!(c, back);
+        // Configs written before the coalescing window was removed still load.
+        let old = json.replacen('{', r#"{"coalesce_window_us":200,"#, 1);
+        assert_eq!(serde_json::from_str::<ServeConfig>(&old).unwrap(), c);
     }
 
     #[test]

@@ -13,9 +13,9 @@
 //! across [`TILE`] queries — throughput that independent single-query
 //! callers can never reach. [`LafServer`] closes that gap with the standard
 //! continuous-batching idea: requests from any number of threads land in a
-//! queue, a dispatcher thread merges them inside a bounded micro-batch
-//! window, one batch-kernel call answers the whole merged batch, and the
-//! per-request results scatter back to the blocked callers. Each engine's
+//! queue, a dispatcher thread merges whatever queued while it was busy, one
+//! batch-kernel call answers the whole merged batch, and the per-request
+//! results scatter back to the blocked callers. Each engine's
 //! batch entry points are bit-identical to its per-query forms, so
 //! coalescing is invisible to callers — same results, better throughput.
 //!
@@ -51,19 +51,24 @@
 //!
 //! ## Flush policy
 //!
-//! The dispatcher flushes the queue into a batch when the first of these
-//! holds:
+//! The dispatcher is **work-conserving**: it never idles while requests
+//! wait, and never holds a request back hoping for batch-mates.
 //!
-//! 1. **Size cap** — `max_batch` requests are queued (takes `max_batch`);
-//! 2. **Tile fill** — at least [`TILE`] (= 4) requests are queued (takes the
-//!    largest whole-tile prefix): waiting longer cannot improve the
-//!    mini-GEMM's per-row amortization for those queries, so holding them
-//!    would add latency for nothing;
-//! 3. **Deadline** — the oldest queued request has waited
-//!    `coalesce_window_us` (takes everything queued): the window bounds the
-//!    queueing latency a lone request can pay;
-//! 4. **Shutdown** — the server is stopping: everything queued is drained
+//! 1. **Flush** — whenever the dispatcher is free it takes everything
+//!    queued, up to `max_batch`, at once. A lone request is therefore
+//!    answered on arrival, and batches form only from requests that
+//!    arrived while the previous batch was running — so coalescing (and
+//!    WAL group commit on mutable servers) grows with load by itself, with
+//!    no window to tune.
+//! 2. **Wake** — a submitter signals the dispatcher only when it is parked
+//!    on an empty queue; a busy dispatcher re-reads the queue before it
+//!    parks. The parked flag lives under the queue lock, so no wake-up is
+//!    lost.
+//! 3. **Shutdown** — the server is stopping: everything queued is drained
 //!    and answered, never dropped.
+//!
+//! [`ServeStatsReport`] shows the result per stage: the queue wait of every
+//! request, the execute time of every batch, and the batch-size histogram.
 //!
 //! ## Admission control
 //!
@@ -161,5 +166,5 @@ pub use maintenance::{
 };
 pub use request::{InvalidRequest, QueryRequest, QueryResponse, WriteError};
 pub use server::{LafServer, ServeError, Served, Ticket};
-pub use stats::{OccupancyBucket, ServeStats, ServeStatsReport, OCCUPANCY_BUCKETS};
+pub use stats::{OccupancyBucket, ServeStats, ServeStatsReport, StageLatency, OCCUPANCY_BUCKETS};
 pub use tenant::TenantServer;

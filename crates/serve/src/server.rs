@@ -1,6 +1,6 @@
 //! The coalescing dispatcher: [`LafServer`].
 
-use crate::config::{ServeConfig, TILE};
+use crate::config::ServeConfig;
 use crate::request::{InvalidRequest, QueryRequest, QueryResponse, WriteError};
 use crate::stats::{ServeStats, ServeStatsReport};
 use laf_core::fault;
@@ -113,7 +113,7 @@ pub struct Served<T> {
 }
 
 /// One queued request kind, query vector owned so it outlives the caller's
-/// borrow while the batch waits in the window.
+/// borrow while the request waits in the queue.
 enum Work {
     Range { query: Vec<f32>, eps: f32 },
     RangeCount { query: Vec<f32>, eps: f32 },
@@ -276,12 +276,32 @@ struct EpochState {
 struct QueueState {
     queue: VecDeque<Pending>,
     shutdown: bool,
+    /// The dispatcher is parked on [`Shared::wake`] and needs a signal to
+    /// see new work. Set and cleared only under the state lock.
+    parked: bool,
+    /// Test latch: while set (and the server is not shutting down) the
+    /// dispatcher leaves the queue alone, so tests can stage an exact queue
+    /// without racing the dispatcher.
+    #[cfg(test)]
+    hold: bool,
+}
+
+impl QueueState {
+    #[cfg(test)]
+    fn held(&self) -> bool {
+        self.hold && !self.shutdown
+    }
+
+    #[cfg(not(test))]
+    fn held(&self) -> bool {
+        false
+    }
 }
 
 struct Shared {
     config: ServeConfig,
     state: Mutex<QueueState>,
-    /// Signals the dispatcher: work arrived or shutdown was requested.
+    /// Signals a parked dispatcher: work arrived or shutdown was requested.
     wake: Condvar,
     current: Mutex<Arc<EpochState>>,
     /// The mutable pipeline, when this server was started with
@@ -372,6 +392,9 @@ impl LafServer {
             state: Mutex::new(QueueState {
                 queue: VecDeque::new(),
                 shutdown: false,
+                parked: false,
+                #[cfg(test)]
+                hold: false,
             }),
             wake: Condvar::new(),
             current: Mutex::new(Arc::new(epoch)),
@@ -693,7 +716,7 @@ impl LafServer {
 
     fn enqueue(&self, work: Work) -> Result<Arc<Slot>, ServeError> {
         let slot = Arc::new(Slot::default());
-        let depth = {
+        let wake = {
             let mut state = self.shared.state.lock().unwrap();
             if state.shutdown {
                 return Err(ServeError::ShuttingDown);
@@ -711,20 +734,15 @@ impl LafServer {
                 slot: Arc::clone(&slot),
                 submitted: Instant::now(),
             });
-            let depth = state.queue.len();
-            self.shared.stats.record_submit(depth);
-            depth
+            self.shared.stats.record_submit(state.queue.len());
+            // Wake rule: only a parked dispatcher needs a signal — a busy
+            // one re-reads the queue before it parks. The flag is read and
+            // cleared under the lock the dispatcher parks under, so no
+            // wake-up is lost, and the submitters queued behind this one
+            // skip a redundant notify.
+            std::mem::take(&mut state.parked)
         };
-        // Wake the dispatcher only when this submission changes what it
-        // would do: the first request arms the window deadline, and a whole
-        // dot4 tile or a full batch makes a flush eligible right now.
-        // Intermediate depths would be spurious wake-ups (the dispatcher
-        // re-checks and goes back to sleep), and under load those wake-ups
-        // are the dominant per-request dispatch cost. Depths skipped here
-        // are never lost: the dispatcher re-reads the whole queue at every
-        // wake and at the window deadline.
-        let max_batch = self.shared.config.max_batch.max(1);
-        if depth == 1 || depth >= max_batch || (max_batch >= TILE && depth % TILE == 0) {
+        if wake {
             self.shared.wake.notify_one();
         }
         Ok(slot)
@@ -737,55 +755,22 @@ impl Drop for LafServer {
     }
 }
 
-/// The dispatcher thread: wait for work, apply the flush policy, run the
-/// merged batch through the batch kernels, scatter results.
+/// The dispatcher thread: take whatever is queued the moment it is free,
+/// run the merged batch through the batch kernels, scatter results, and
+/// park only when the queue is empty.
 fn dispatch_loop(shared: &Shared) {
-    let window = shared.config.window();
     let max_batch = shared.config.max_batch.max(1);
     // Backoff latch for failed compactions: pending-op count the backlog
     // must reach before compaction is attempted again (0 = no failure
     // outstanding). Dispatcher-local — only this thread compacts.
     let mut compact_floor = 0usize;
-    loop {
-        let batch: Vec<Pending> = {
-            let mut state = shared.state.lock().unwrap();
-            loop {
-                if state.queue.is_empty() {
-                    if state.shutdown {
-                        drop(state);
-                        // Final durability point: queued writes were group-
-                        // committed per batch, but make shutdown an explicit
-                        // sync so a clean stop never depends on batch timing.
-                        if let Some(mutable) = &shared.mutable {
-                            let _ = mutable.lock().unwrap().sync();
-                        }
-                        return;
-                    }
-                    state = shared.wake.wait(state).unwrap();
-                    continue;
-                }
-                let n = state.queue.len();
-                let oldest = state.queue.front().expect("queue is non-empty").submitted;
-                // Flush policy, in priority order: drain on shutdown; flush a
-                // full batch; flush whole dot4 tiles immediately (waiting
-                // longer cannot improve their per-row amortization); flush
-                // whatever is queued once the oldest request has waited out
-                // the window; otherwise sleep until that deadline.
-                let take = if state.shutdown || n >= max_batch {
-                    max_batch.min(n)
-                } else if n >= TILE && max_batch >= TILE {
-                    (n - n % TILE).min(max_batch)
-                } else if oldest.elapsed() >= window {
-                    n
-                } else {
-                    let remaining = window.saturating_sub(oldest.elapsed());
-                    let (guard, _) = shared.wake.wait_timeout(state, remaining).unwrap();
-                    state = guard;
-                    continue;
-                };
-                break state.queue.drain(..take).collect();
-            }
-        };
+    while let Some(batch) = next_batch(shared, max_batch) {
+        let drained = Instant::now();
+        for pending in &batch {
+            shared
+                .stats
+                .record_queue_wait(drained.saturating_duration_since(pending.submitted));
+        }
         // Failpoint: a transient flush stall (the downstream kernel pool is
         // briefly saturated). Retried with the dispatcher's usual doubling
         // backoff; the batch is dispatched after the budget no matter what —
@@ -796,7 +781,6 @@ fn dispatch_loop(shared: &Shared) {
             shared.stats.record_flush_retry();
             retry_backoff(flush_attempt);
         }
-        shared.stats.record_batch(batch.len());
         match &shared.mutable {
             Some(mutable) => answer_mutable(shared, mutable, &batch, &mut compact_floor),
             None => {
@@ -804,10 +788,36 @@ fn dispatch_loop(shared: &Shared) {
                 // handle once, outside the queue lock. A concurrent reload
                 // after this point affects the next batch, never this one.
                 let epoch = Arc::clone(&shared.current.lock().unwrap());
-                answer(&epoch, &batch);
+                answer(&shared.stats, &epoch, &batch);
             }
         }
+        shared.stats.record_batch(batch.len(), drained.elapsed());
     }
+    // Final durability point: queued writes were group-committed per batch,
+    // but make shutdown an explicit sync so a clean stop never depends on
+    // batch timing.
+    if let Some(mutable) = &shared.mutable {
+        let _ = mutable.lock().unwrap().sync();
+    }
+}
+
+/// Flush rule: park until work is queued, then take everything queued, up
+/// to `max_batch`, at once. Under load the queue refills while a batch
+/// runs, so batches (and WAL group commits) grow with the arrival rate
+/// without any timed wait; a lone request is taken the moment it arrives.
+/// Returns `None` once shutdown has drained the queue.
+fn next_batch(shared: &Shared, max_batch: usize) -> Option<Vec<Pending>> {
+    let mut state = shared.state.lock().unwrap();
+    while state.queue.is_empty() || state.held() {
+        if state.shutdown && state.queue.is_empty() {
+            return None;
+        }
+        state.parked = true;
+        state = shared.wake.wait(state).unwrap();
+        state.parked = false;
+    }
+    let take = state.queue.len().min(max_batch);
+    Some(state.queue.drain(..take).collect())
 }
 
 /// Answer one batch on the mutable path: every request — read or write —
@@ -882,7 +892,7 @@ fn answer_mutable(
             Reply::Written(_) if commit_failed => Reply::Rejected(WriteError::Storage),
             other => other,
         };
-        pending.slot.deliver(epoch, reply);
+        deliver(&shared.stats, pending, epoch, reply);
     }
 
     let threshold = shared.config.compact_threshold;
@@ -928,8 +938,14 @@ fn answer_mutable(
     }
 }
 
+/// Hand `reply` to the caller waiting on `pending`, counting it answered.
+fn deliver(stats: &ServeStats, pending: &Pending, epoch: u64, reply: Reply) {
+    stats.record_completion();
+    pending.slot.deliver(epoch, reply);
+}
+
 /// Run one merged batch through the kernels and deliver each result.
-fn answer(epoch: &EpochState, batch: &[Pending]) {
+fn answer(stats: &ServeStats, epoch: &EpochState, batch: &[Pending]) {
     // Partition by (kind, parameter) so every group becomes exactly one
     // batch-kernel call; each engine guarantees its batch entry points are
     // bit-identical to the per-query forms, which is what makes coalescing
@@ -938,7 +954,7 @@ fn answer(epoch: &EpochState, batch: &[Pending]) {
     let first_key = batch[0].work.group_key();
     if batch.iter().all(|p| p.work.group_key() == first_key) {
         let group: Vec<&Pending> = batch.iter().collect();
-        return answer_group(epoch, &group);
+        return answer_group(stats, epoch, &group);
     }
     let mut groups: HashMap<(u8, u64), Vec<&Pending>> = HashMap::new();
     for pending in batch {
@@ -948,36 +964,36 @@ fn answer(epoch: &EpochState, batch: &[Pending]) {
             .push(pending);
     }
     for group in groups.values() {
-        answer_group(epoch, group);
+        answer_group(stats, epoch, group);
     }
 }
 
 /// One batch-kernel call for a group that shares a (kind, parameter) key.
-fn answer_group(epoch: &EpochState, group: &[&Pending]) {
+fn answer_group(stats: &ServeStats, epoch: &EpochState, group: &[&Pending]) {
     let queries: Vec<&[f32]> = group.iter().map(|p| p.work.query()).collect();
     match &group[0].work {
         Work::Range { eps, .. } => {
             let results = epoch.engine.range_batch(&queries, *eps);
             for (pending, hits) in group.iter().zip(results) {
-                pending.slot.deliver(epoch.epoch, Reply::Range(hits));
+                deliver(stats, pending, epoch.epoch, Reply::Range(hits));
             }
         }
         Work::RangeCount { eps, .. } => {
             let results = epoch.engine.range_count_batch(&queries, *eps);
             for (pending, count) in group.iter().zip(results) {
-                pending.slot.deliver(epoch.epoch, Reply::Count(count));
+                deliver(stats, pending, epoch.epoch, Reply::Count(count));
             }
         }
         Work::Knn { k, .. } => {
             let results = epoch.engine.knn_batch(&queries, *k);
             for (pending, neighbors) in group.iter().zip(results) {
-                pending.slot.deliver(epoch.epoch, Reply::Knn(neighbors));
+                deliver(stats, pending, epoch.epoch, Reply::Knn(neighbors));
             }
         }
         Work::Estimate { eps, .. } => {
             let results = epoch.pipeline.estimate_batch(&queries, *eps);
             for (pending, estimate) in group.iter().zip(results) {
-                pending.slot.deliver(epoch.epoch, Reply::Estimate(estimate));
+                deliver(stats, pending, epoch.epoch, Reply::Estimate(estimate));
             }
         }
         Work::Insert { .. } | Work::Delete { .. } => {
@@ -1142,6 +1158,8 @@ mod tests {
         assert_eq!(report.submitted, 160);
         assert_eq!(report.completed, 160);
         assert_eq!(report.rejected, 0);
+        assert_eq!(report.queue_wait.samples, report.completed);
+        assert_eq!(report.execute.samples, report.batches);
     }
 
     #[test]
@@ -1198,13 +1216,8 @@ mod tests {
     fn coalescing_actually_batches_under_concurrency() {
         let pipeline = pipeline(11);
         let queries: Vec<Vec<f32>> = (0..64).map(|i| pipeline.data().row(i).to_vec()).collect();
-        let server = LafServer::start(
-            pipeline,
-            ServeConfig {
-                coalesce_window_us: 5_000,
-                ..ServeConfig::default()
-            },
-        );
+        let server = LafServer::start(pipeline, ServeConfig::default());
+        hold(&server);
         std::thread::scope(|scope| {
             for q in &queries {
                 let server = &server;
@@ -1212,6 +1225,8 @@ mod tests {
                     server.range(q, 0.3).unwrap();
                 });
             }
+            wait_for_depth(&server, 64);
+            release(&server);
         });
         let report = server.shutdown();
         assert_eq!(report.completed, 64);
@@ -1224,18 +1239,30 @@ mod tests {
         );
     }
 
-    /// A server whose config lets tests park 3 clients in the queue: below
-    /// the dot4 tile, inside a long window, the dispatcher will not flush
-    /// them until woken.
-    fn parking_server(config: ServeConfig, seed: u64) -> (LafServer, Vec<f32>) {
+    /// Close the test latch: the dispatcher leaves queued requests alone
+    /// until [`release`] (or shutdown, which always drains).
+    fn hold(server: &LafServer) {
+        server.shared.state.lock().unwrap().hold = true;
+    }
+
+    fn release(server: &LafServer) {
+        server.shared.state.lock().unwrap().hold = false;
+        server.shared.wake.notify_one();
+    }
+
+    /// A server whose dispatcher is held, so tests can park clients in the
+    /// queue for as long as they need.
+    fn held_server(config: ServeConfig, seed: u64) -> (LafServer, Vec<f32>) {
         let pipeline = pipeline(seed);
         let q: Vec<f32> = pipeline.data().row(0).to_vec();
-        (LafServer::start(pipeline, config), q)
+        let server = LafServer::start(pipeline, config);
+        hold(&server);
+        (server, q)
     }
 
     fn wait_for_depth(server: &LafServer, depth: usize) {
         while server.queue_depth() < depth {
-            std::thread::sleep(std::time::Duration::from_millis(1));
+            std::thread::yield_now();
         }
     }
 
@@ -1248,9 +1275,8 @@ mod tests {
 
     #[test]
     fn admission_control_rejects_beyond_the_bound() {
-        let (server, q) = parking_server(
+        let (server, q) = held_server(
             ServeConfig {
-                coalesce_window_us: 500_000,
                 max_batch: 8,
                 max_queue_depth: 3,
                 ..ServeConfig::default()
@@ -1266,8 +1292,8 @@ mod tests {
                 });
             }
             wait_for_depth(&server, 3);
-            // The queue is pinned at the bound until the window expires; one
-            // more submission must bounce rather than buffer.
+            // The queue is pinned at the bound while the dispatcher is held;
+            // one more submission must bounce rather than buffer.
             match server.range_count(&q, 0.3) {
                 Err(ServeError::Overloaded { depth, limit }) => {
                     assert_eq!(limit, 3);
@@ -1284,20 +1310,14 @@ mod tests {
 
     #[test]
     fn shutdown_drains_queued_requests() {
-        let (server, q) = parking_server(
-            ServeConfig {
-                coalesce_window_us: 500_000,
-                ..ServeConfig::default()
-            },
-            17,
-        );
+        let (server, q) = held_server(ServeConfig::default(), 17);
         std::thread::scope(|scope| {
             for _ in 0..3 {
                 let server = &server;
                 let q = &q;
                 scope.spawn(move || {
-                    // Queued mid-window; shutdown must still answer it
-                    // rather than losing it.
+                    // Queued behind a held dispatcher; shutdown must still
+                    // answer it rather than losing it.
                     server.range(q, 0.3).unwrap();
                 });
             }
@@ -1307,6 +1327,51 @@ mod tests {
         let report = server.shutdown();
         assert_eq!(report.submitted, 3);
         assert_eq!(report.completed, 3, "no request may be lost");
+    }
+
+    /// Queue `n` pipelined count requests behind a held dispatcher, release
+    /// it, and return the final counters.
+    fn release_staged_queue(n: usize, max_batch: usize) -> ServeStatsReport {
+        let (server, q) = held_server(
+            ServeConfig {
+                max_batch,
+                ..ServeConfig::default()
+            },
+            79,
+        );
+        let tickets: Vec<Ticket<usize>> = (0..n)
+            .map(|_| server.range_count_async(&q, 0.3).unwrap())
+            .collect();
+        release(&server);
+        for ticket in tickets {
+            ticket.wait();
+        }
+        server.shutdown()
+    }
+
+    #[test]
+    fn a_free_dispatcher_takes_the_whole_queue_at_once() {
+        let report = release_staged_queue(10, 64);
+        assert_eq!(report.batches, 1, "10 queued requests flush as one batch");
+        assert_eq!(report.completed, 10);
+        assert_eq!(report.occupancy[5].batch_size, "9-16");
+        assert_eq!(report.occupancy[5].batches, 1);
+        assert_eq!(report.queue_wait.samples, report.completed);
+        assert_eq!(report.execute.samples, report.batches);
+    }
+
+    #[test]
+    fn a_queue_beyond_max_batch_splits_into_full_batch_then_remainder() {
+        let report = release_staged_queue(70, 64);
+        assert_eq!(report.batches, 2, "70 queued requests flush as 64 + 6");
+        assert_eq!(report.completed, 70);
+        assert_eq!(report.occupancy[7].batch_size, "33-64");
+        assert_eq!(report.occupancy[7].batches, 1);
+        assert_eq!(report.occupancy[4].batch_size, "5-8");
+        assert_eq!(report.occupancy[4].batches, 1);
+        assert_eq!(report.tile_batches, 1, "64 fills whole tiles, 6 does not");
+        assert_eq!(report.queue_wait.samples, report.completed);
+        assert_eq!(report.execute.samples, report.batches);
     }
 
     #[test]
@@ -1532,17 +1597,16 @@ mod tests {
 
     #[test]
     fn deadline_times_out_parked_requests() {
-        let (server, q) = parking_server(
+        let (server, q) = held_server(
             ServeConfig {
-                coalesce_window_us: 500_000,
                 max_batch: 8,
                 request_deadline_us: 2_000,
                 ..ServeConfig::default()
             },
             61,
         );
-        // One parked request — below the dot4 tile, inside the long window —
-        // must unblock with a typed timeout, not hang for the window.
+        // One request parked behind the held dispatcher must unblock with a
+        // typed timeout, not hang until the dispatcher gets to it.
         match server.range(&q, 0.3) {
             Err(ServeError::Timeout { waited_us }) => assert!(waited_us >= 2_000, "{waited_us}"),
             other => panic!("expected Timeout, got {other:?}"),

@@ -1,12 +1,17 @@
-//! Aggregate serving counters: admission, batch occupancy, reloads.
+//! Aggregate serving counters: admission, batch occupancy, stage latency,
+//! reloads.
 
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::Duration;
 
 /// Upper bounds (inclusive) of the batch-occupancy histogram buckets. The
-/// first [`crate::TILE`] buckets are exact sizes — whether the dispatcher
-/// fills whole `dot4` tiles is the main thing the histogram exists to show —
-/// and the tail is power-of-two ranges up to the default `max_batch`.
+/// dispatcher is work-conserving, so a batch holds exactly the requests
+/// that queued while the previous batch ran: size 1 means the server kept
+/// up with arrivals, larger sizes show how much load coalesced. The first
+/// [`crate::TILE`] buckets are exact sizes (whether batches fill whole
+/// `dot4` tiles) and the tail is power-of-two ranges up to the default
+/// `max_batch`.
 const OCCUPANCY_BOUNDS: [u64; 8] = [1, 2, 3, 4, 8, 16, 32, 64];
 
 /// Number of occupancy buckets (the bounds above plus an overflow bucket).
@@ -28,6 +33,69 @@ fn bucket_index(batch_size: usize) -> usize {
         .iter()
         .position(|&b| batch_size as u64 <= b)
         .unwrap_or(OCCUPANCY_BOUNDS.len())
+}
+
+/// Buckets of a stage-latency histogram: bucket 0 counts samples under
+/// 1 µs, bucket `i` samples in `[2^(i-1), 2^i)` µs, and the last bucket
+/// also takes every longer sample.
+const STAGE_BUCKETS: usize = 32;
+
+/// Lock-free log2 histogram of one serving stage's latency.
+#[derive(Debug, Default)]
+struct StageClock {
+    total_us: AtomicU64,
+    buckets: [AtomicU64; STAGE_BUCKETS],
+}
+
+impl StageClock {
+    fn record(&self, elapsed: Duration) {
+        let us = u64::try_from(elapsed.as_micros()).unwrap_or(u64::MAX);
+        let bucket = ((u64::BITS - us.leading_zeros()) as usize).min(STAGE_BUCKETS - 1);
+        self.buckets[bucket].fetch_add(1, Ordering::Relaxed);
+        self.total_us.fetch_add(us, Ordering::Relaxed);
+    }
+
+    fn report(&self) -> StageLatency {
+        let mut buckets: Vec<u64> = self
+            .buckets
+            .iter()
+            .map(|b| b.load(Ordering::Relaxed))
+            .collect();
+        while buckets.last() == Some(&0) {
+            buckets.pop();
+        }
+        let samples: u64 = buckets.iter().sum();
+        // Exclusive upper bound of the bucket holding the q-quantile.
+        let quantile = |q: f64| {
+            let rank = (q * samples as f64).ceil().max(1.0) as u64;
+            let mut seen = 0;
+            buckets
+                .iter()
+                .position(|&n| {
+                    seen += n;
+                    seen >= rank
+                })
+                .map_or(0, |i| 1u64 << i)
+        };
+        StageLatency {
+            samples,
+            mean_us: if samples == 0 {
+                0.0
+            } else {
+                self.total_us.load(Ordering::Relaxed) as f64 / samples as f64
+            },
+            p50_us: quantile(0.50),
+            p99_us: quantile(0.99),
+            buckets,
+        }
+    }
+
+    fn reset(&self) {
+        self.total_us.store(0, Ordering::Relaxed);
+        for bucket in &self.buckets {
+            bucket.store(0, Ordering::Relaxed);
+        }
+    }
 }
 
 /// Lock-free aggregate counters maintained by a [`crate::LafServer`].
@@ -53,6 +121,8 @@ pub struct ServeStats {
     reload_failures: AtomicU64,
     peak_queue_depth: AtomicU64,
     occupancy: [AtomicU64; OCCUPANCY_BUCKETS],
+    queue_wait: StageClock,
+    execute: StageClock,
 }
 
 impl ServeStats {
@@ -68,10 +138,24 @@ impl ServeStats {
         self.rejected.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Record one dispatched batch of `size` requests.
-    pub(crate) fn record_batch(&self, size: usize) {
+    /// Record how long a request sat in the queue before the dispatcher
+    /// drained it into a batch.
+    pub(crate) fn record_queue_wait(&self, waited: Duration) {
+        self.queue_wait.record(waited);
+    }
+
+    /// Record one answered request, as its answer is handed to the caller
+    /// (never before the answer exists, so a caller holding a result always
+    /// sees it counted).
+    pub(crate) fn record_completion(&self) {
+        self.completed.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Record one executed batch of `size` requests and how long it kept
+    /// the dispatcher busy.
+    pub(crate) fn record_batch(&self, size: usize, execute: Duration) {
+        self.execute.record(execute);
         self.batches.fetch_add(1, Ordering::Relaxed);
-        self.completed.fetch_add(size as u64, Ordering::Relaxed);
         if size > 0 && size.is_multiple_of(crate::TILE) {
             self.tile_batches.fetch_add(1, Ordering::Relaxed);
         }
@@ -195,6 +279,8 @@ impl ServeStats {
                     batches: c.load(Ordering::Relaxed),
                 })
                 .collect(),
+            queue_wait: self.queue_wait.report(),
+            execute: self.execute.report(),
         }
     }
 
@@ -216,6 +302,8 @@ impl ServeStats {
         for bucket in &self.occupancy {
             bucket.store(0, Ordering::Relaxed);
         }
+        self.queue_wait.reset();
+        self.execute.reset();
     }
 }
 
@@ -226,6 +314,22 @@ pub struct OccupancyBucket {
     pub batch_size: String,
     /// Number of dispatched batches whose size fell in the range.
     pub batches: u64,
+}
+
+/// Snapshot of one serving stage's log2 latency histogram.
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+pub struct StageLatency {
+    /// Samples recorded.
+    pub samples: u64,
+    /// Mean sample, microseconds.
+    pub mean_us: f64,
+    /// Median, as the exclusive upper bound of its log2 bucket (µs).
+    pub p50_us: u64,
+    /// 99th percentile, as the exclusive upper bound of its log2 bucket (µs).
+    pub p99_us: u64,
+    /// Samples per bucket: bucket 0 is under 1 µs, bucket `i` is
+    /// `[2^(i-1), 2^i)` µs. Trailing empty buckets are omitted.
+    pub buckets: Vec<u64>,
 }
 
 /// Serializable snapshot of [`ServeStats`], embedded in `BENCH_serving.json`
@@ -271,6 +375,15 @@ pub struct ServeStatsReport {
     pub mean_batch_occupancy: f64,
     /// Histogram of dispatched batch sizes.
     pub occupancy: Vec<OccupancyBucket>,
+    /// Queue wait: submission until the dispatcher drains the request into
+    /// a batch. One sample per answered request.
+    #[serde(default)]
+    pub queue_wait: StageLatency,
+    /// Batch execution: drain until the dispatcher is free again (kernel
+    /// calls, WAL group commit, scatter, and any compaction the batch
+    /// triggers). One sample per batch.
+    #[serde(default)]
+    pub execute: StageLatency,
 }
 
 #[cfg(test)]
@@ -296,8 +409,12 @@ mod tests {
         stats.record_submit(3);
         stats.record_submit(7);
         stats.record_reject();
-        stats.record_batch(4);
-        stats.record_batch(1);
+        stats.record_batch(4, Duration::from_micros(90));
+        stats.record_batch(1, Duration::from_micros(10));
+        for waited_us in [0, 1, 3, 200, 300] {
+            stats.record_queue_wait(Duration::from_micros(waited_us));
+            stats.record_completion();
+        }
         stats.record_reload();
         let report = stats.report();
         assert_eq!(report.submitted, 2);
@@ -310,19 +427,30 @@ mod tests {
         assert!((report.mean_batch_occupancy - 2.5).abs() < 1e-12);
         assert_eq!(report.occupancy[3].batches, 1, "one size-4 batch");
         assert_eq!(report.occupancy[0].batches, 1, "one size-1 batch");
+        assert_eq!(report.queue_wait.samples, report.completed);
+        assert_eq!(report.queue_wait.buckets, [1, 1, 1, 0, 0, 0, 0, 0, 1, 1]);
+        assert!((report.queue_wait.mean_us - 504.0 / 5.0).abs() < 1e-9);
+        assert_eq!(report.queue_wait.p50_us, 4, "median 3 us lies in [2, 4)");
+        assert_eq!(report.queue_wait.p99_us, 512, "300 us lies in [256, 512)");
+        assert_eq!(report.execute.samples, report.batches);
+        assert_eq!(report.execute.p50_us, 16);
 
         stats.reset();
         let zeroed = stats.report();
         assert_eq!(zeroed.submitted, 0);
         assert_eq!(zeroed.batches, 0);
         assert!(zeroed.occupancy.iter().all(|b| b.batches == 0));
+        assert_eq!(zeroed.queue_wait, StageLatency::default());
+        assert_eq!(zeroed.execute, StageLatency::default());
     }
 
     #[test]
     fn report_serde_round_trip() {
         let stats = ServeStats::default();
         stats.record_submit(1);
-        stats.record_batch(3);
+        stats.record_batch(3, Duration::from_micros(42));
+        stats.record_queue_wait(Duration::from_micros(7));
+        stats.record_completion();
         let report = stats.report();
         let json = serde_json::to_string(&report).unwrap();
         let back: ServeStatsReport = serde_json::from_str(&json).unwrap();

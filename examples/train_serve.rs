@@ -242,8 +242,10 @@ fn serve(snapshot_path: &str, mmap: bool) {
 /// Concurrent serving plane: `n_clients` threads, each keeping several
 /// range-count requests in flight against one [`LafServer`], every answer
 /// checked bit-for-bit against the synchronous engine path. Prints the
-/// batch-occupancy histogram at the end — the direct evidence of how well
-/// the dispatcher coalesced independent requests into `dot4` tiles.
+/// server-side stage timings (queue wait, batch execute) and the
+/// batch-occupancy histogram — the direct evidence of how well the
+/// dispatcher coalesced independent requests into `dot4` tiles — and fails
+/// when no batch held more than one request.
 fn serve_concurrent(snapshot_path: &str, n_clients: usize) {
     /// Requests each client keeps in flight (via [`Ticket`]s) so the
     /// dispatcher always has batch-mates to merge.
@@ -266,8 +268,7 @@ fn serve_concurrent(snapshot_path: &str, n_clients: usize) {
     let server = LafServer::start(pipeline, ServeConfig::default());
     println!(
         "[serve-concurrent] {n_clients} clients x {REQUESTS_PER_CLIENT} range-count requests, \
-         pipeline depth {PIPELINE_DEPTH}, window {}us, max batch {}",
-        server.config().coalesce_window_us,
+         pipeline depth {PIPELINE_DEPTH}, max batch {}",
         server.config().max_batch
     );
 
@@ -325,6 +326,15 @@ fn serve_concurrent(snapshot_path: &str, n_clients: usize) {
         report.peak_queue_depth,
         report.rejected
     );
+    for (stage, t) in [
+        ("queue wait", &report.queue_wait),
+        ("batch execute", &report.execute),
+    ] {
+        println!(
+            "[serve-concurrent] {stage}: {} samples, mean {:.1}us, p50 <{}us, p99 <{}us",
+            t.samples, t.mean_us, t.p50_us, t.p99_us
+        );
+    }
     println!("[serve-concurrent] batch-occupancy histogram (batch size -> batches):");
     let peak = report
         .occupancy
@@ -348,6 +358,12 @@ fn serve_concurrent(snapshot_path: &str, n_clients: usize) {
     assert_eq!(
         report.completed, report.submitted,
         "every admitted request must be answered"
+    );
+    // Pipelined clients queue requests behind every running batch, so the
+    // work-conserving dispatcher must have coalesced some of them.
+    assert!(
+        report.occupancy.iter().skip(1).any(|b| b.batches > 0),
+        "{n_clients} pipelined clients produced no batch larger than 1"
     );
 }
 

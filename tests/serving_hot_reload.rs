@@ -73,7 +73,6 @@ fn responses_stay_bit_exact_across_concurrent_snapshot_swaps() {
     let server = laf::serve::LafServer::start(
         a,
         laf::serve::ServeConfig {
-            coalesce_window_us: 200,
             max_batch: 16,
             max_queue_depth: 4096,
             ..laf::serve::ServeConfig::default()
